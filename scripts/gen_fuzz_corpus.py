@@ -2,31 +2,56 @@
 """Generate the checked-in seed corpora under tests/fuzz_corpus/."""
 import struct, os, shutil
 
-REPO = "/root/repo"
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(REPO, "tests", "data")
 CORPUS = os.path.join(REPO, "tests", "fuzz_corpus")
 
-FNV_BASIS = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
 MASK = (1 << 64) - 1
+# src/sssp/word_hash.hpp: four multiply-xorshift lanes, folded with the
+# splitmix64 finalizer.
+LANE_SEEDS = (0x243F6A8885A308D3, 0x13198A2E03707344,
+              0xA4093822299F31D0, 0x082EFA98EC4E6C89)
+LANE_K = 0x9E3779B97F4A7C15
 
-def fnv1a(h, data):
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & MASK
+def splitmix64_finalize(x):
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK
+    return x ^ (x >> 31)
+
+def word_hash(data):
+    lanes = list(LANE_SEEDS)
+    padded = data + b"\x00" * (-len(data) % 8)
+    for i, (word,) in enumerate(struct.iter_unpack("<Q", padded)):
+        lane = ((lanes[i % 4] ^ word) * LANE_K) & MASK
+        lanes[i % 4] = lane ^ (lane >> 32)
+    h = splitmix64_finalize(len(data))
+    for lane in lanes:
+        h = splitmix64_finalize(h ^ lane)
     return h
 
+# Plan format v2 (src/serving/plan_io.hpp): a 64-byte header with the
+# checksum at offset 56, then row_ptr, col_ind and val.
+HEADER = 64
+CHECKSUM = 56
+
 def restamp(img):
-    """Return img with the checksum field (offset 104..112) re-stamped."""
+    """Return img with the checksum field re-stamped."""
     img = bytearray(img)
-    zeroed = bytes(img[:104]) + b"\x00" * 8 + bytes(img[112:])
-    total = fnv1a(FNV_BASIS, zeroed)
-    img[104:112] = struct.pack("<Q", total)
+    zeroed = bytes(img[:CHECKSUM]) + b"\x00" * 8 + bytes(img[HEADER:])
+    img[CHECKSUM:HEADER] = struct.pack("<Q", word_hash(zeroed))
     return bytes(img)
 
 plan = open(os.path.join(DATA, "diamond.plan"), "rb").read()
-assert len(plan) == 576, len(plan)
-# Sanity: the golden file's checksum must round-trip through our FNV.
-assert restamp(plan) == plan, "FNV mismatch vs golden plan"
+assert len(plan) == 272, len(plan)
+# Sanity: the golden file's checksum must round-trip through our hash.
+assert restamp(plan) == plan, "word hash mismatch vs golden plan"
+plan_v1 = open(os.path.join(DATA, "diamond_v1.plan"), "rb").read()
+
+# diamond: n = 5, e = 10.  row_ptr is 6 u64s at HEADER, col_ind 10 u64s
+# after it, val 10 doubles after that.
+ROW_PTR = HEADER
+COL_IND = ROW_PTR + 6 * 8
+VAL = COL_IND + 10 * 8
 
 def w(sub, name, data):
     path = os.path.join(CORPUS, sub, name)
@@ -41,6 +66,7 @@ def patched(img, off, fmt, value, stamp=True):
 
 # --- plan_load ----------------------------------------------------------
 w("plan_load", "diamond_valid.plan", plan)
+w("plan_load", "v1_format.plan", plan_v1)
 w("plan_load", "empty.bin", b"")
 w("plan_load", "truncated_header.bin", plan[:60])
 w("plan_load", "truncated_payload.bin", plan[:200])
@@ -55,22 +81,21 @@ w("plan_load", "overflow_vertices.bin", patched(plan, 24, "<Q", (1 << 64) - 2))
 # Counts that pass arithmetic but dwarf the actual file size.
 w("plan_load", "oversized_edges.bin", patched(plan, 32, "<Q", 1 << 40))
 # Stale checksum (single payload bit flipped, checksum left alone).
-stale = bytearray(plan); stale[300] ^= 0x40
+stale = bytearray(plan); stale[VAL + 8] ^= 0x40
 w("plan_load", "stale_checksum.bin", bytes(stale))
-# Forged checksum + structural corruption: restamped so the corruption
-# reaches the structural validators.
-w("plan_load", "nan_delta.bin", patched(plan, 56, "<d", float("nan")))
-w("plan_load", "negative_delta.bin", patched(plan, 56, "<d", -1.0))
-# row_ptr rise-then-fall: first row_ptr entry after header; row_ptr[1] at
-# header+8. diamond has n=5, e=10: row_ptr is 6 u64s at offset 112.
-w("plan_load", "rowptr_risefall.bin", patched(plan, 112 + 8, "<Q", 1 << 20))
-w("plan_load", "rowptr_nonmonotone.bin", patched(plan, 112 + 16, "<Q", 0))
-# col_ind out of range: col_ind starts at 112 + 6*8 = 160.
-w("plan_load", "colind_oob.bin", patched(plan, 160, "<Q", 1 << 30))
-# negative weight: val starts at 160 + 10*8 = 240.
-w("plan_load", "negative_weight.bin", patched(plan, 240, "<d", -2.0))
-w("plan_load", "nan_weight.bin", patched(plan, 240, "<d", float("nan")))
-w("plan_load", "inf_weight.bin", patched(plan, 240, "<d", float("inf")))
+# Forged checksum + semantic or structural corruption: restamped so the
+# corruption reaches the validators behind the gate.
+w("plan_load", "nan_delta.bin", patched(plan, 40, "<d", float("nan")))
+w("plan_load", "negative_delta.bin", patched(plan, 40, "<d", -1.0))
+w("plan_load", "bad_delta_flag.bin", patched(plan, 48, "<Q", 2))
+# The golden pins delta = 2.5; claiming it was auto-chosen must not stick.
+w("plan_load", "auto_delta_mismatch.bin", patched(plan, 48, "<Q", 1))
+w("plan_load", "rowptr_risefall.bin", patched(plan, ROW_PTR + 8, "<Q", 1 << 20))
+w("plan_load", "rowptr_nonmonotone.bin", patched(plan, ROW_PTR + 16, "<Q", 0))
+w("plan_load", "colind_oob.bin", patched(plan, COL_IND, "<Q", 1 << 30))
+w("plan_load", "negative_weight.bin", patched(plan, VAL, "<d", -2.0))
+w("plan_load", "nan_weight.bin", patched(plan, VAL, "<d", float("nan")))
+w("plan_load", "inf_weight.bin", patched(plan, VAL, "<d", float("inf")))
 
 # --- matrix_market ------------------------------------------------------
 shutil.copy(os.path.join(DATA, "diamond.mtx"),

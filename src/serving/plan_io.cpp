@@ -6,13 +6,16 @@
 #include "serving/plan_io.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
-#include <memory>
+#include <initializer_list>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "graphblas/audit.hpp"
+#include "sssp/word_hash.hpp"
 #include "testing/fault_injection.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -30,9 +33,10 @@ namespace {
 constexpr char kMagic[8] = {'D', 'S', 'G', 'P', 'L', 'A', 'N', '\n'};
 constexpr std::uint32_t kEndianMarker = 0x01020304u;
 
-/// Fixed 112-byte header.  Every field sits at a naturally aligned offset
+/// Fixed 64-byte header.  Every field sits at a naturally aligned offset
 /// and the sizes sum exactly to sizeof, so there is no padding to leak
-/// uninitialized bytes into the checksum or the file.
+/// uninitialized bytes into the checksum or the file.  magic, version and
+/// endian keep their v1 offsets, so a v1 file is rejected by its version.
 struct PlanFileHeader {
   char magic[8];                        // offset 0
   std::uint32_t version;                // 8
@@ -41,50 +45,29 @@ struct PlanFileHeader {
   std::uint32_t value_bits;             // 20: 64 (double)
   std::uint64_t num_vertices;           // 24
   std::uint64_t num_edges;              // 32
-  std::uint64_t light_nnz;              // 40
-  std::uint64_t heavy_nnz;              // 48
-  double delta;                         // 56
-  std::uint64_t delta_was_auto;         // 64: 0/1
-  double max_weight;                    // 72
-  double min_positive_weight;           // 80
-  std::uint64_t max_out_degree;         // 88
-  double avg_out_degree;                // 96
-  std::uint64_t checksum;               // 104: FNV-1a, checksum field zeroed
+  double delta;                         // 40
+  std::uint64_t delta_was_auto;         // 48: 0/1
+  std::uint64_t checksum;               // 56: WordHash, this field zeroed
 };
 static_assert(sizeof(PlanFileHeader) == kPlanHeaderBytes,
               "header layout drifted");
+static_assert(offsetof(PlanFileHeader, checksum) == kPlanChecksumOffset,
+              "checksum offset drifted");
 static_assert(sizeof(grb::Index) == 8 && sizeof(double) == 8,
               "plan format assumes 64-bit indices and values");
 
-/// FNV-1a over a byte range, resumable via the running hash.
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ p[i]) * 0x100000001b3ULL;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-template <typename T>
-std::uint64_t fnv1a_vec(std::uint64_t h, const std::vector<T>& v) {
-  return fnv1a(h, v.data(), v.size() * sizeof(T));
-}
-
 /// The checksum input: the header with its checksum field zeroed, then
-/// every payload section in file order.  Catches single-bit corruption in
-/// either region (size-class errors are caught earlier by the exact
-/// file-size check).
+/// the payload (one range on load, the three arrays on save).  Catches
+/// single-bit corruption in either region (size-class errors are caught
+/// earlier by the exact file-size check).
 std::uint64_t checksum_file(PlanFileHeader header,
-                            const std::vector<const void*>& sections,
-                            const std::vector<std::size_t>& sizes) {
+                            std::initializer_list<std::span<const std::byte>>
+                                payload) {
   header.checksum = 0;
-  std::uint64_t h = fnv1a(kFnvBasis, &header, sizeof(header));
-  for (std::size_t k = 0; k < sections.size(); ++k) {
-    h = fnv1a(h, sections[k], sizes[k]);
-  }
-  return h;
+  WordHash h;
+  h.update(&header, sizeof(header));
+  for (const auto section : payload) h.update(section.data(), section.size());
+  return h.digest();
 }
 
 [[noreturn]] void reject(const std::string& path, const std::string& why) {
@@ -92,14 +75,9 @@ std::uint64_t checksum_file(PlanFileHeader header,
 }
 
 void write_bytes(std::ofstream& os, const void* data, std::size_t size) {
-  if (size == 0) return;  // empty split sections pass a null pointer
+  if (size == 0) return;  // an edgeless graph's sections pass null
   os.write(static_cast<const char*>(data),
            static_cast<std::streamsize>(size));
-}
-
-template <typename T>
-void write_vec(std::ofstream& os, const std::vector<T>& v) {
-  write_bytes(os, v.data(), v.size() * sizeof(T));
 }
 
 /// Expected payload byte count for a header, or false when the sum does
@@ -109,31 +87,21 @@ void write_vec(std::ofstream& os, const std::vector<T>& v) {
 /// Runs on pure header arithmetic BEFORE any allocation or file-size
 /// comparison.
 bool checked_payload_bytes(const PlanFileHeader& h, std::uint64_t& out) {
-  std::uint64_t total = 0;
   std::uint64_t ptr_len = 0;
-  if (__builtin_add_overflow(h.num_vertices, std::uint64_t{1}, &ptr_len)) {
+  std::uint64_t words = 0;
+  if (__builtin_add_overflow(h.num_vertices, std::uint64_t{1}, &ptr_len) ||
+      __builtin_mul_overflow(h.num_edges, std::uint64_t{2}, &words) ||
+      __builtin_add_overflow(words, ptr_len, &words) ||
+      __builtin_mul_overflow(words, std::uint64_t{8}, &out)) {
     return false;
   }
-  const std::uint64_t element_counts[] = {
-      ptr_len,     h.num_edges, h.num_edges,  // row_ptr, col_ind, val
-      ptr_len,     h.light_nnz, h.light_nnz,  // light_ptr, light_ind/val
-      ptr_len,     h.heavy_nnz, h.heavy_nnz,  // heavy_ptr, heavy_ind/val
-  };
-  for (const std::uint64_t count : element_counts) {
-    std::uint64_t bytes = 0;
-    if (__builtin_mul_overflow(count, std::uint64_t{8}, &bytes) ||
-        __builtin_add_overflow(total, bytes, &total)) {
-      return false;
-    }
-  }
-  out = total;
   return true;
 }
 
 /// Copies the next `count` elements out of the mapped/loaded byte range.
-/// The empty case is skipped: an all-light or all-heavy split has
-/// zero-length sections, and memcpy's arguments must be non-null even
-/// for a zero count.
+/// The empty case is skipped: a graph without edges has zero-length
+/// sections, and memcpy's arguments must be non-null even for a zero
+/// count.
 template <typename T>
 std::vector<T> take(const unsigned char*& cursor, std::uint64_t count) {
   std::vector<T> out(count);
@@ -202,10 +170,6 @@ class FileBytes {
 
 void PlanIo::save(const GraphPlan& plan, const std::string& path) {
   const grb::Matrix<double>& a = plan.matrix();
-  // Force the split now: the file pins Δ, so a loaded plan must start with
-  // the split already materialized (that is the cold-start win).
-  const detail::LightHeavySplit& split = plan.light_heavy();
-  const PlanStats& stats = plan.stats();
 
   PlanFileHeader header = {};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
@@ -215,30 +179,14 @@ void PlanIo::save(const GraphPlan& plan, const std::string& path) {
   header.value_bits = 64;
   header.num_vertices = a.nrows();
   header.num_edges = a.nvals();
-  header.light_nnz = split.light_ind.size();
-  header.heavy_nnz = split.heavy_ind.size();
   header.delta = plan.delta();
   header.delta_was_auto = plan.delta_was_auto() ? 1 : 0;
-  header.max_weight = stats.max_weight;
-  header.min_positive_weight = stats.min_positive_weight;
-  header.max_out_degree = stats.max_out_degree;
-  header.avg_out_degree = stats.avg_out_degree;
 
-  // Sections in file order.  row_ptr/col_ind/raw_values are spans over the
-  // matrix's own storage; the split vectors are plan-owned.
-  const std::vector<const void*> sections = {
-      a.row_ptr().data(),          a.col_ind().data(),
-      a.raw_values().data(),       split.light_ptr.data(),
-      split.light_ind.data(),      split.light_val.data(),
-      split.heavy_ptr.data(),      split.heavy_ind.data(),
-      split.heavy_val.data()};
-  const std::vector<std::size_t> sizes = {
-      a.row_ptr().size_bytes(),          a.col_ind().size_bytes(),
-      a.raw_values().size_bytes(),       split.light_ptr.size() * 8,
-      split.light_ind.size() * 8,        split.light_val.size() * 8,
-      split.heavy_ptr.size() * 8,        split.heavy_ind.size() * 8,
-      split.heavy_val.size() * 8};
-  header.checksum = checksum_file(header, sections, sizes);
+  const std::span<const std::byte> sections[] = {std::as_bytes(a.row_ptr()),
+                                                 std::as_bytes(a.col_ind()),
+                                                 std::as_bytes(a.raw_values())};
+  header.checksum =
+      checksum_file(header, {sections[0], sections[1], sections[2]});
 
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) {
@@ -246,8 +194,8 @@ void PlanIo::save(const GraphPlan& plan, const std::string& path) {
                             " for writing");
   }
   write_bytes(os, &header, sizeof(header));
-  for (std::size_t k = 0; k < sections.size(); ++k) {
-    write_bytes(os, sections[k], sizes[k]);
+  for (const auto section : sections) {
+    write_bytes(os, section.data(), section.size());
   }
   os.flush();
   if (!os) throw grb::InvalidValue("plan save: write failed on " + path);
@@ -267,8 +215,9 @@ std::uint64_t PlanIo::file_checksum(const unsigned char* data,
   }
   PlanFileHeader header = {};
   std::memcpy(&header, data, sizeof(header));
-  return checksum_file(header, {data + sizeof(header)},
-                       {size - sizeof(header)});
+  const std::span<const unsigned char> rest(data + sizeof(header),
+                                            size - sizeof(header));
+  return checksum_file(header, {std::as_bytes(rest)});
 }
 
 GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
@@ -297,6 +246,7 @@ GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
   if (!(std::isfinite(header.delta) && header.delta > 0.0)) {
     reject(origin, "invalid delta (must be finite and positive)");
   }
+  if (header.delta_was_auto > 1) reject(origin, "invalid delta_was_auto flag");
   // Overflow-checked size arithmetic, then the exact cross-check against
   // the real byte count: both run before any allocation, so the vectors
   // sized from these counts are always fully backed by `data`.
@@ -313,64 +263,50 @@ GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
   }
 
   const unsigned char* payload = data + sizeof(PlanFileHeader);
-  if (checksum_file(header, {payload},
-                    {static_cast<std::size_t>(payload_len)}) !=
+  const std::span<const unsigned char> payload_bytes(
+      payload, static_cast<std::size_t>(payload_len));
+  if (checksum_file(header, {std::as_bytes(payload_bytes)}) !=
       header.checksum) {
     reject(origin, "checksum mismatch");
   }
 
-  // Payload sections, in file order.
   const std::uint64_t n = header.num_vertices;
   const unsigned char* cursor = payload;
   auto row_ptr = take<grb::Index>(cursor, n + 1);
   auto col_ind = take<grb::Index>(cursor, header.num_edges);
   auto val = take<double>(cursor, header.num_edges);
-  detail::LightHeavySplit split;
-  split.light_ptr = take<grb::Index>(cursor, n + 1);
-  split.light_ind = take<grb::Index>(cursor, header.light_nnz);
-  split.light_val = take<double>(cursor, header.light_nnz);
-  split.heavy_ptr = take<grb::Index>(cursor, n + 1);
-  split.heavy_ind = take<grb::Index>(cursor, header.heavy_nnz);
-  split.heavy_val = take<double>(cursor, header.heavy_nnz);
+  grb::Matrix<double> a(n, n);
+  a.adopt(std::move(row_ptr), std::move(col_ind), std::move(val));
 
-  // The checksum is forgeable (FNV-1a, and the format is documented), so
-  // nothing semantic is trusted: weights must be finite and non-negative
-  // (a NaN or negative weight would silently corrupt — or hang —
-  // delta-stepping), and the CSR/split structure is fully re-validated
-  // below before the plan is handed out.
-  for (const double w : val) {
-    if (!(std::isfinite(w) && w >= 0.0)) {
-      reject(origin, "non-finite or negative edge weight");
+  // The checksum is forgeable (and the format documented), so nothing
+  // semantic is taken from the file beyond the arrays and Δ.  The plan
+  // constructor's scan rejects non-finite or negative weights (a NaN or
+  // negative weight would silently corrupt — or hang — delta-stepping) and
+  // derives PlanStats; it walks the weights linearly, so it is safe before
+  // the audit.  check_invariants() then audits the CSR whether or not
+  // DSG_AUDIT_INVARIANTS is compiled in.  AuditError normally means
+  // "library state corrupt — do not catch", but here the corrupt state came
+  // straight from untrusted input, which is a bad-input rejection.
+  GraphPlan plan = [&] {
+    try {
+      GraphPlan built(std::move(a),
+                      header.delta_was_auto != 0 ? kAutoDelta : header.delta);
+      built.check_invariants();
+      return built;
+    } catch (const grb::audit::AuditError& e) {
+      reject(origin,
+             std::string("structurally invalid payload: ") + e.what());
+    } catch (const grb::InvalidValue& e) {
+      reject(origin, e.what());
     }
+  }();
+  if (plan.delta() != header.delta) {
+    reject(origin, "auto delta mismatch (the file stores " +
+                       std::to_string(header.delta) +
+                       ", the weights imply " + std::to_string(plan.delta()) +
+                       ")");
   }
-
-  PlanStats stats;
-  stats.num_vertices = n;
-  stats.num_edges = header.num_edges;
-  stats.max_out_degree = header.max_out_degree;
-  stats.avg_out_degree = header.avg_out_degree;
-  stats.max_weight = header.max_weight;
-  stats.min_positive_weight = header.min_positive_weight;
-
-  // Restored construction skips re-deriving the stats scalars (the one
-  // O(|E|) scan a warm start amortizes) but NOT the structural audit:
-  // check_invariants re-validates the adjacency CSR and the light/heavy
-  // partition at Δ whether or not DSG_AUDIT_INVARIANTS is compiled in.
-  // AuditError normally means "library state corrupt — do not catch", but
-  // here the corrupt state came straight from untrusted input, which is
-  // precisely a bad-input rejection.
-  try {
-    grb::Matrix<double> a(n, n);
-    a.adopt(std::move(row_ptr), std::move(col_ind), std::move(val));
-    GraphPlan plan(GraphPlan::Restored{},
-                   std::make_shared<const grb::Matrix<double>>(std::move(a)),
-                   header.delta, header.delta_was_auto != 0, stats);
-    plan.install_split(std::move(split));
-    plan.check_invariants();
-    return plan;
-  } catch (const grb::audit::AuditError& e) {
-    reject(origin, std::string("structurally invalid payload: ") + e.what());
-  }
+  return plan;
 }
 
 }  // namespace dsg::serving

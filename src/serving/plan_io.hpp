@@ -1,42 +1,39 @@
 // plan_io.hpp — version-stamped binary persistence for GraphPlan, the
 // cold-start half of the serving layer.
 //
-// A plan file carries everything a server needs to answer queries without
-// re-scanning the graph: the adjacency CSR, the construction-time weight/
-// degree statistics, the pinned Δ, and the light/heavy split materialized
-// at that Δ.  Loading is therefore O(bytes) — one checksum pass plus
-// memcpy into the owning vectors — instead of the O(|E|) validation +
-// split scans a fresh GraphPlan pays.
+// A plan file carries the adjacency CSR and the pinned Δ, nothing else.
+// Everything a server derives from them — the PlanStats scalars, the
+// light/heavy split at Δ, the fingerprint — is rebuilt on load or on first
+// use: redoing the split costs less than reading a second copy of every
+// edge, and a derived value cannot be forged.
 //
-// File layout (all scalars little-or-big per the writing host; the header
-// carries an endianness marker so a foreign-endian reader rejects cleanly
-// instead of decoding garbage):
+// File layout, format v2 (scalars in the writing host's byte order; the
+// header carries an endianness marker so a foreign-endian reader rejects
+// cleanly instead of decoding garbage):
 //
-//   [ 112-byte header, 8-byte aligned ]
+//   [ 64-byte header, 8-byte aligned ]
 //     magic "DSGPLAN\n", format version, endian marker 0x01020304,
-//     index/value widths (64/64), counts (|V|, |E|, light nnz, heavy nnz),
-//     Δ + delta_was_auto, the PlanStats scalars, and an FNV-1a checksum
-//     over the rest of the header and the whole payload.
-//   [ payload: nine 8-byte-aligned arrays, no padding between them ]
-//     row_ptr (|V|+1), col_ind (|E|), val (|E|),
-//     light_ptr (|V|+1), light_ind, light_val,
-//     heavy_ptr (|V|+1), heavy_ind, heavy_val.
+//     index/value widths (64/64), |V|, |E|, Δ, delta_was_auto, and a
+//     WordHash checksum (sssp/word_hash.hpp) over the header with the
+//     checksum field zeroed, then the whole payload.
+//   [ payload: three 8-byte-aligned arrays, no padding between them ]
+//     row_ptr (|V|+1), col_ind (|E|), val (|E|).
 //
-// The header fully determines the file size, so truncation is detected
-// before any payload is touched; the checksum catches bit corruption in
-// either region.  Rejections throw grb::InvalidValue with a message
-// naming the failing check (see tests/test_plan_io.cpp).
-//
-// Adversarial inputs: the loader treats every byte as hostile (the fuzz
-// harness in fuzz/ drives it with arbitrary data).  Header counts are
-// combined with overflow-checked arithmetic and cross-checked against the
-// actual file size BEFORE any allocation, so a forged header can neither
-// overflow the size computation into a colliding total nor commit memory
-// the file cannot back.  The checksum is FNV-1a — fast, not
-// cryptographic, and trivially forgeable — so after extraction the loader
-// always runs the full structural validation (CSR shape, light/heavy
-// partition, finite non-negative weights, Δ > 0) and rejects with a named
-// grb::InvalidValue; the checksum only screens accidental corruption.
+// Loading runs these checks, in order, and rejects with a grb::InvalidValue
+// naming the failing one (see tests/test_plan_io.cpp):
+//   1. header fields, then overflow-checked size arithmetic and the exact
+//      file-size check — both before any allocation, so a forged header
+//      can neither wrap the size computation nor commit memory the file
+//      cannot back;
+//   2. the checksum, which screens accidental corruption (every single-bit
+//      flip is caught) but is not a validity proof: it is forgeable;
+//   3. a copy of the three arrays into the plan's matrix;
+//   4. the plan's own construction scan, which rejects non-finite or
+//      negative weights and derives PlanStats (an auto Δ must then equal
+//      the stored one);
+//   5. the full CSR audit (monotone offsets, in-range ascending columns).
+// Load is O(bytes + |V| + |E|); the fuzz harness in fuzz/ drives it with
+// arbitrary data.
 #pragma once
 
 #include <cstdint>
@@ -47,19 +44,17 @@
 namespace dsg::serving {
 
 /// On-disk format version.  Bump on ANY layout change (readers reject
-/// every other version) and regenerate tests/data/*.plan goldens.
-inline constexpr std::uint32_t kPlanFormatVersion = 1;
+/// every other version) and regenerate tests/data/diamond.plan and the
+/// fuzz corpora (scripts/gen_fuzz_corpus.py).
+inline constexpr std::uint32_t kPlanFormatVersion = 2;
 
-/// Fixed header size in bytes (kept in sync with the PlanFileHeader
-/// layout in plan_io.cpp by a static_assert there).
-inline constexpr std::size_t kPlanHeaderBytes = 112;
+/// Fixed header size in bytes, and the offset of the 8-byte checksum field
+/// inside it (kept in sync with the PlanFileHeader layout in plan_io.cpp by
+/// static_asserts there).
+inline constexpr std::size_t kPlanHeaderBytes = 64;
+inline constexpr std::size_t kPlanChecksumOffset = 56;
 
-/// The saver/loader behind GraphPlan::save / GraphPlan::load.  A class
-/// rather than free functions because loading goes through GraphPlan's
-/// private trusted-deserialization constructor (friend access): the
-/// checksum lets the loader skip re-deriving the stats scalars, while the
-/// structural scan (which does not trust the checksum) keeps a forged
-/// file from materializing a memory-unsafe plan.
+/// The saver/loader behind GraphPlan::save / GraphPlan::load.
 class PlanIo {
  public:
   static void save(const GraphPlan& plan, const std::string& path);
@@ -74,7 +69,7 @@ class PlanIo {
                               const std::string& origin);
 
   /// The checksum a well-formed file image of these bytes must carry
-  /// (FNV-1a over the header with its checksum field zeroed, then the
+  /// (WordHash over the header with its checksum field zeroed, then the
   /// rest).  Exposed for tests and the structure-aware fuzz mutator,
   /// which re-stamp the field after editing header/payload bytes so
   /// mutations reach the validators behind the checksum gate.  Requires

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "graphblas/context.hpp"
@@ -89,14 +90,24 @@ SsspResult delta_stepping_buckets(const GraphPlan& plan, grb::Context&,
   grb::detail::check_index(source, n, "sssp: source");
   const double delta = plan.delta();
   const double max_w = plan.stats().max_weight;
-  const auto& split = plan.light_heavy();
-  SsspStats stats;  // setup_seconds stays 0: the plan paid it once
 
   // ceil(max_w/delta)+2 cyclic buckets always suffice (+2 guards the
-  // boundary case max_w == k*delta exactly).
-  const Index num_buckets =
-      static_cast<Index>(std::ceil(max_w / delta)) + 2;
-  BucketArray buckets(num_buckets, n);
+  // boundary case max_w == k*delta exactly).  The count is formed and
+  // checked in double before any conversion: converting a NaN or
+  // out-of-range double to Index is undefined behaviour, and a tiny Δ such
+  // as 1e-300 gets there.  Bounding count * n also bounds every bucket
+  // index relax() forms, since a tentative distance is the length of a
+  // simple path, at most (n - 1) * max_w.
+  const double bucket_count = std::ceil(max_w / delta) + 2.0;
+  if (!(bucket_count * static_cast<double>(n) < 0x1p63)) {
+    std::ostringstream why;
+    why << "sssp buckets: delta " << delta << " is too small for max weight "
+        << max_w << " (the bucket count is not representable)";
+    throw grb::InvalidValue(why.str());
+  }
+  BucketArray buckets(static_cast<Index>(bucket_count), n);
+  const auto& split = plan.light_heavy();
+  SsspStats stats;  // setup_seconds stays 0: the plan paid it once
 
   std::vector<double> tent(n, kInfDist);
 

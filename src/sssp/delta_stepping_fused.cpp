@@ -19,11 +19,10 @@ double seconds_since(Clock::time_point start) {
 
 /// Dense work buffers for the fused kernel, parked in the executing
 /// grb::Context so repeated runs (benchmark reps, multi-source batches)
-/// reuse capacity instead of reallocating four O(n) arrays.  The distance
+/// reuse capacity instead of reallocating their O(n) arrays.  The distance
 /// vector t is excluded: it is moved into the result.
 struct FusedWorkspace {
   std::vector<double> treq;
-  std::vector<unsigned char> tb;
   std::vector<unsigned char> s;
   std::vector<Index> frontier;
   std::vector<Index> touched;
@@ -39,17 +38,15 @@ SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
   const auto& split = plan.light_heavy();
   SsspStats stats;  // setup_seconds stays 0: the plan paid it once
 
-  // Dense work vectors.  Absent == infinity for t/tReq; tb/s are the
-  // characteristic vectors of tB_i and S.
+  // Dense work vectors.  Absent == infinity for t/tReq; s is the
+  // characteristic vector of S.  tB_i is kept only as the frontier list.
   auto& ws = ctx.get<FusedWorkspace>();
   std::vector<double> t(n, kInfDist);
   auto& treq = ws.treq;
   treq.assign(n, kInfDist);
-  auto& tb = ws.tb;
-  tb.assign(n, 0);
   auto& s = ws.s;
   s.assign(n, 0);
-  auto& frontier = ws.frontier;  // indices with tb set (bucket members)
+  auto& frontier = ws.frontier;  // tB_i as an index list (bucket members)
   frontier.clear();
   auto& touched = ws.touched;    // indices where treq got a request
   touched.clear();
@@ -80,13 +77,11 @@ SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
     const double lo = static_cast<double>(i) * delta;
     const double hi = lo + delta;
 
-    // Fused bucket construction: tb and the frontier in one pass.
+    // Bucket construction: tB_i as the frontier list, in one pass.
     auto vec_start = Clock::now();
     frontier.clear();
     for (Index v = 0; v < n; ++v) {
-      const bool in_bucket = (t[v] >= lo && t[v] < hi);
-      tb[v] = in_bucket;
-      if (in_bucket) frontier.push_back(v);
+      if (t[v] >= lo && t[v] < hi) frontier.push_back(v);
     }
     if (exec.profile) stats.vector_seconds += seconds_since(vec_start);
 
@@ -125,7 +120,6 @@ SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
             // most once per phase (treq acts as the min-combining
             // accumulator), so no dedup test is needed here.
             frontier.push_back(w);
-            tb[w] = 1;
           }
         }
         treq[w] = kInfDist;  // reset the request buffer for the next phase

@@ -6,7 +6,7 @@
 //      tReq = A_Lᵀ (t ∘ tB_i) fuse into a single push traversal of the
 //      bucket's rows;
 //   2. the three dependent vector updates (tB_i, S, t) fuse into one pass
-//      over the vectors.
+//      over the vectors; tB_i is kept only as the frontier index list.
 //
 // Vectors are dense arrays (length |V|), as implied by the paper's
 // "splitting the vector into evenly-sized tasks" parallelization; matrices

@@ -205,7 +205,10 @@ SsspResult delta_stepping_openmp_impl(
   const double delta = options.delta;
   SsspStats stats;
 
-  if (options.num_threads > 0) omp_set_num_threads(options.num_threads);
+  // A num_threads clause, not omp_set_num_threads: the option is per
+  // query and must not change the caller's default for later regions.
+  const int num_threads =
+      options.num_threads > 0 ? options.num_threads : omp_get_max_threads();
 
   detail::LightHeavySplit local_split;
   const detail::LightHeavySplit& split = prebuilt ? *prebuilt : local_split;
@@ -227,7 +230,7 @@ SsspResult delta_stepping_openmp_impl(
   SsspStatus status = poll_control(control);
   std::exception_ptr error;
 
-#pragma omp parallel
+#pragma omp parallel num_threads(num_threads)
 #pragma omp single
   {
     try {

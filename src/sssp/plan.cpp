@@ -1,12 +1,12 @@
 #include "sssp/plan.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 
 #include "graphblas/audit.hpp"
+#include "sssp/word_hash.hpp"
 
 namespace dsg {
 
@@ -32,19 +32,6 @@ struct GrbSplitSlot {
 struct FingerprintSlot {
   std::uint64_t value = 0;
 };
-
-// splitmix64 finalizer — the same mixer the fault-injection seeder uses;
-// deterministic across platforms.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
-  return mix64(h ^ v);
-}
 
 /// Builds a grb::Matrix directly from one half of the CSR split (no
 /// predicate re-evaluation: the split already holds exactly the entries).
@@ -138,44 +125,17 @@ GraphPlan GraphPlan::borrow(const grb::Matrix<double>& a, double delta) {
   return GraphPlan(Borrowed{}, a, delta);
 }
 
-GraphPlan::GraphPlan(Restored, std::shared_ptr<const grb::Matrix<double>> a,
-                     double delta, bool delta_was_auto,
-                     const PlanStats& stats)
-    : a_(std::move(a)),
-      stats_(stats),
-      delta_(delta),
-      delta_was_auto_(delta_was_auto),
-      lazy_(std::make_unique<Lazy>()) {
-#ifdef DSG_AUDIT_INVARIANTS
-  check_invariants();
-#endif
-}
-
-void GraphPlan::install_split(detail::LightHeavySplit split) const {
-  derived<SplitSlot>([&] {
-    auto slot = std::make_shared<SplitSlot>();
-    slot->split = std::move(split);
-#ifdef DSG_AUDIT_INVARIANTS
-    audit_split(slot->split);
-#endif
-    return slot;
-  });
-}
-
 std::uint64_t GraphPlan::fingerprint() const {
   return derived<FingerprintSlot>([&] {
            auto slot = std::make_shared<FingerprintSlot>();
            const grb::Matrix<double>& a = *a_;
-           std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-           h = hash_combine(h, a.nrows());
-           h = hash_combine(h, a.ncols());
-           h = hash_combine(h, a.nvals());
-           for (Index p : a.row_ptr()) h = hash_combine(h, p);
-           for (Index c : a.col_ind()) h = hash_combine(h, c);
-           for (double w : a.raw_values()) {
-             h = hash_combine(h, std::bit_cast<std::uint64_t>(w));
-           }
-           slot->value = h;
+           const std::uint64_t dims[] = {a.nrows(), a.ncols(), a.nvals()};
+           WordHash h;
+           h.update(dims, sizeof(dims));
+           h.update(a.row_ptr().data(), a.row_ptr().size_bytes());
+           h.update(a.col_ind().data(), a.col_ind().size_bytes());
+           h.update(a.raw_values().data(), a.raw_values().size_bytes());
+           slot->value = h.digest();
            return slot;
          })
       .value;
@@ -204,7 +164,10 @@ void GraphPlan::init(double delta) {
       static_cast<double>(stats_.num_edges) / static_cast<double>(a.nrows());
   double max_w = 0.0;
   double min_pos = 0.0;
-  a.for_each([&](Index, Index, const double& w) {
+  // A linear walk of the stored weights, never indexed through row_ptr, so
+  // it is memory-safe on a CSR that has not been audited yet (PlanIo::load
+  // builds the plan first and audits it after).
+  for (const double w : a.raw_values()) {
     // !(isfinite && >= 0) rather than (w < 0): NaN compares false against
     // everything, so a plain negativity test waves NaN weights through
     // into the relaxation loop, where min(NaN, d) poisons distances.
@@ -214,7 +177,7 @@ void GraphPlan::init(double delta) {
     }
     if (w > max_w) max_w = w;
     if (w > 0.0 && (min_pos == 0.0 || w < min_pos)) min_pos = w;
-  });
+  }
   stats_.max_weight = max_w;
   stats_.min_positive_weight = min_pos;
 

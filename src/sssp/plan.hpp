@@ -38,10 +38,6 @@
 
 namespace dsg {
 
-namespace serving {
-class PlanIo;  // trusted deserializer (src/serving/plan_io.cpp)
-}  // namespace serving
-
 namespace detail {
 
 /// Light/heavy CSR split shared by the fused, OpenMP and bucket variants.
@@ -144,13 +140,14 @@ class GraphPlan {
   /// per-query caller used to pay on every call.
   double setup_seconds() const;
 
-  /// Version-stamped binary persistence (CSR + stats + the light/heavy
-  /// split materialized at this plan's pinned Δ).  Implemented by the
-  /// serving layer (src/serving/plan_io.cpp, the dsg_serving library —
-  /// link it to use these); docs/ARCHITECTURE.md "Serving layer" specifies
-  /// the file format.  save() forces the split so a loaded plan starts
-  /// warm; load() verifies magic/version/endianness/checksum and throws
-  /// grb::InvalidValue on any mismatch.
+  /// Version-stamped binary persistence of the CSR and the pinned Δ.
+  /// Implemented by the serving layer (src/serving/plan_io.cpp, the
+  /// dsg_serving library — link it to use these); docs/ARCHITECTURE.md
+  /// "Serving layer" specifies the file format.  load() verifies
+  /// magic/version/endianness/sizes/checksum, re-derives the stats and Δ
+  /// provenance, audits the CSR, and throws grb::InvalidValue on any
+  /// failure.  The light/heavy split is not stored: it is rebuilt on first
+  /// use, like on any fresh plan.
   void save(const std::string& path) const;
   static GraphPlan load(const std::string& path);
 
@@ -194,23 +191,8 @@ class GraphPlan {
   }
 
  private:
-  friend class serving::PlanIo;
-
   struct Borrowed {};  // tag: non-owning shared_ptr
   GraphPlan(Borrowed, const grb::Matrix<double>& a, double delta);
-
-  /// Trusted-deserialization constructor (serving::PlanIo only): adopts
-  /// checksum-verified stats and Δ without re-running the O(|E|)
-  /// validation scan.  Under DSG_AUDIT_INVARIANTS the full structural
-  /// audit still runs, so a corrupt-but-checksum-colliding file cannot
-  /// slip through a debug build.
-  struct Restored {};
-  GraphPlan(Restored, std::shared_ptr<const grb::Matrix<double>> a,
-            double delta, bool delta_was_auto, const PlanStats& stats);
-
-  /// Installs a pre-built light/heavy split into the lazy cache (the
-  /// loader's way to hand over the materialized split from the file).
-  void install_split(detail::LightHeavySplit split) const;
 
   /// Audits one materialized light/heavy split against the matrix and Δ.
   void audit_split(const detail::LightHeavySplit& s) const;

@@ -190,7 +190,7 @@ class PlanIoReject : public ::testing::Test {
     path_ = temp_plan_path("reject");
     plan.save(path_);
     bytes_ = read_file(path_);
-    ASSERT_GT(bytes_.size(), 112u);
+    ASSERT_GT(bytes_.size(), serving::kPlanHeaderBytes);
   }
 
   void TearDown() override { std::remove(path_.c_str()); }
@@ -219,7 +219,8 @@ class PlanIoReject : public ::testing::Test {
   void restamp_checksum() {
     const std::uint64_t sum =
         serving::PlanIo::file_checksum(bytes_.data(), bytes_.size());
-    std::memcpy(bytes_.data() + 104, &sum, sizeof(sum));
+    std::memcpy(bytes_.data() + serving::kPlanChecksumOffset, &sum,
+                sizeof(sum));
   }
 
   std::string path_;
@@ -268,11 +269,19 @@ TEST_F(PlanIoReject, PayloadBitFlip) {
   expect_rejected("checksum mismatch");
 }
 
-TEST_F(PlanIoReject, HeaderStatsBitFlip) {
-  // max_weight sits at offset 72 — inside the checksummed header region but
-  // after every field the structural validators look at.
-  bytes_[72] ^= 0x01;
+TEST_F(PlanIoReject, HeaderDeltaBitFlip) {
+  // Δ sits at offset 40; flipping its lowest mantissa bit leaves a finite,
+  // positive Δ that only the checksum can tell from the original.
+  bytes_[40] ^= 0x01;
   expect_rejected("checksum mismatch");
+}
+
+TEST_F(PlanIoReject, FormatV1RejectedByName) {
+  // The checked-in v1 image of the same diamond plan (format 1 stored the
+  // light/heavy split and the PlanStats scalars).
+  bytes_ = read_file(std::string(DSG_TEST_DATA_DIR) + "/diamond_v1.plan");
+  ASSERT_EQ(bytes_.size(), 576u);
+  expect_rejected("unsupported format version 1 (expected 2)");
 }
 
 // ---------------------------------------------------------------------------
@@ -290,9 +299,8 @@ TEST_F(PlanIoReject, HeaderCountsOverflowUint64) {
 }
 
 TEST_F(PlanIoReject, HeaderCountSumOverflows) {
-  // Each product fits but the section sum wraps.
-  patch(32, std::uint64_t{1} << 61);  // num_edges
-  patch(40, std::uint64_t{1} << 61);  // light_nnz
+  // 2 * num_edges still fits; adding the |V|+1 row offsets wraps.
+  patch(32, (std::uint64_t{1} << 63) - 1);  // num_edges
   restamp_checksum();
   expect_rejected("header counts overflow");
 }
@@ -306,63 +314,71 @@ TEST_F(PlanIoReject, HeaderCountsExceedFileSize) {
 }
 
 // ---------------------------------------------------------------------------
-// Forged checksum: FNV-1a is not cryptographic, so an adversary stamps a
+// Forged checksum: the word hash is not cryptographic, so an adversary stamps a
 // valid checksum over corrupted content.  Every semantic validator must
 // hold with the gate forged open.
 // ---------------------------------------------------------------------------
 
 TEST_F(PlanIoReject, ForgedNaNDelta) {
-  patch(56, std::nan(""));
+  patch(40, std::nan(""));
   restamp_checksum();
   expect_rejected("invalid delta");
 }
 
 TEST_F(PlanIoReject, ForgedZeroDelta) {
-  patch(56, 0.0);
+  patch(40, 0.0);
   restamp_checksum();
   expect_rejected("invalid delta");
 }
 
 TEST_F(PlanIoReject, ForgedNegativeWeight) {
-  // val[0]: header(112) + row_ptr(6*8) + col_ind(10*8) = offset 240.
-  patch(240, -2.0);
+  // val[0]: header(64) + row_ptr(6*8) + col_ind(10*8) = offset 192.
+  patch(192, -2.0);
   restamp_checksum();
   expect_rejected("non-finite or negative edge weight");
 }
 
 TEST_F(PlanIoReject, ForgedNaNWeight) {
-  patch(240, std::nan(""));
+  patch(192, std::nan(""));
   restamp_checksum();
   expect_rejected("non-finite or negative edge weight");
 }
 
 TEST_F(PlanIoReject, ForgedRowPtrRiseThenFall) {
-  // row_ptr[1] at offset 120 jumps past nnz while row_ptr[5] still ends
+  // row_ptr[1] at offset 72 jumps past nnz while row_ptr[5] still ends
   // at 10: monotone-so-far, both endpoints plausible — the per-row bound
   // check in grb::audit::check_csr is what must catch it (it used to
   // read col_ind out of bounds instead).
-  patch(120, std::uint64_t{1} << 20);
+  patch(72, std::uint64_t{1} << 20);
   restamp_checksum();
   expect_rejected("structurally invalid payload");
 }
 
 TEST_F(PlanIoReject, ForgedColIndOutOfRange) {
-  // col_ind[0] at offset 160 points far outside the 5-vertex graph.
-  patch(160, std::uint64_t{1} << 30);
+  // col_ind[0] at offset 112 points far outside the 5-vertex graph.
+  patch(112, std::uint64_t{1} << 30);
   restamp_checksum();
   expect_rejected("structurally invalid payload");
 }
 
-TEST_F(PlanIoReject, ForgedLightSplitCorruption) {
-  // light_ptr[1] (offset 320 + 8) inflated: the split CSR audit fails
-  // regardless of what the light/heavy partition contains.
-  patch(328, std::uint64_t{1} << 20);
+TEST_F(PlanIoReject, ForgedAutoDeltaProvenance) {
+  // The file pins Δ = 2.5 explicitly; claiming it came from the auto
+  // heuristic must not smuggle it past the re-derivation on load.
+  GraphPlan fresh(test::diamond_graph().to_matrix(), kAutoDelta);
+  ASSERT_NE(fresh.delta(), 2.5);
+  patch(48, std::uint64_t{1});  // delta_was_auto
   restamp_checksum();
-  expect_rejected("structurally invalid payload");
+  expect_rejected("auto delta mismatch");
+}
+
+TEST_F(PlanIoReject, ForgedDeltaFlag) {
+  patch(48, std::uint64_t{2});
+  restamp_checksum();
+  expect_rejected("invalid delta_was_auto flag");
 }
 
 // ---------------------------------------------------------------------------
-// Golden file: tests/data/diamond.plan, written at format version 1 with a
+// Golden file: tests/data/diamond.plan, written at format version 2 with a
 // pinned Δ of 2.5.  A format change that still round-trips (writer and
 // reader drifting together) cannot pass this test without a deliberate
 // golden regeneration.
@@ -391,6 +407,44 @@ TEST(PlanGolden, CheckedInFileLoads) {
   fresh.save(rewritten);
   EXPECT_EQ(read_file(golden), read_file(rewritten));
   std::remove(rewritten.c_str());
+}
+
+// The file stores no statistics: every PlanStats field of a loaded plan is
+// re-derived from the payload and must equal a fresh build's, and so must
+// the fingerprint the result cache keys on.
+TEST(PlanGolden, StatsAndFingerprintRederived) {
+  const std::string golden = std::string(DSG_TEST_DATA_DIR) + "/diamond.plan";
+  const GraphPlan loaded = GraphPlan::load(golden);
+  const GraphPlan fresh(test::diamond_graph().to_matrix(), 2.5);
+  const PlanStats& a = loaded.stats();
+  const PlanStats& b = fresh.stats();
+  EXPECT_EQ(a.num_vertices, b.num_vertices);
+  EXPECT_EQ(a.num_edges, b.num_edges);
+  EXPECT_EQ(a.max_out_degree, b.max_out_degree);
+  EXPECT_EQ(a.avg_out_degree, b.avg_out_degree);
+  EXPECT_EQ(a.max_weight, b.max_weight);
+  EXPECT_EQ(a.min_positive_weight, b.min_positive_weight);
+  EXPECT_EQ(loaded.fingerprint(), fresh.fingerprint());
+}
+
+// Every single-bit flip of the golden image is rejected — by the checksum
+// (which detects any change confined to one 8-byte word) or, for the bits
+// the front gates read first, structurally.  Never accepted, never a crash.
+TEST(PlanGolden, EverySingleBitFlipRejected) {
+  const std::vector<unsigned char> golden =
+      read_file(std::string(DSG_TEST_DATA_DIR) + "/diamond.plan");
+  ASSERT_FALSE(golden.empty());
+  std::vector<unsigned char> image = golden;
+  for (std::size_t byte = 0; byte < image.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      image[byte] ^= static_cast<unsigned char>(1U << bit);
+      EXPECT_THROW(serving::PlanIo::load_bytes(image.data(), image.size(),
+                                               "bit flip"),
+                   grb::InvalidValue)
+          << "byte " << byte << " bit " << bit;
+      image[byte] = golden[byte];
+    }
+  }
 }
 
 }  // namespace

@@ -2,9 +2,17 @@
 // validation, extreme deltas, extreme structures, numeric extremes.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#if defined(DSG_HAVE_OPENMP)
+#include <omp.h>
+#endif
+
 #include "graph/edge_list.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
+#include "graphblas/context.hpp"
+#include "sssp/solver.hpp"
 #include "test_support.hpp"
 
 namespace {
@@ -112,6 +120,21 @@ TEST(EdgeCases, TinyDeltaManyEmptyBuckets) {
   EXPECT_GE(r.stats.outer_iterations, 3u);
 }
 
+// A Δ so small that ceil(max_w / Δ) does not fit in an Index used to be
+// cast straight to one (undefined behaviour); it must be a named rejection.
+TEST(InputValidation, BucketsRejectsUnrepresentableBucketCount) {
+  const dsg::GraphPlan plan(tiny(), 1e-300);
+  grb::Context ctx;
+  try {
+    dsg::sssp::algorithm_info(dsg::sssp::Algorithm::kBuckets)
+        .run(plan, ctx, 0, {});
+    FAIL() << "kBuckets accepted delta 1e-300";
+  } catch (const grb::InvalidValue& e) {
+    EXPECT_NE(std::string(e.what()).find("delta 1e-300"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(EdgeCases, HugeDeltaSingleBucket) {
   auto a = tiny();
   dsg::DeltaSteppingOptions opt;
@@ -187,6 +210,23 @@ TEST(EdgeCases, OpenMpThreadCountVariants) {
     EXPECT_TRUE(cmp.ok) << threads << " threads: " << cmp.message;
   }
 }
+
+#if defined(DSG_HAVE_OPENMP)
+// The thread count is a per-query option: it must not change the calling
+// thread's OpenMP default, which every later parallel region (vxm, the
+// pointwise kernels, solve_batch) inherits.
+TEST(EdgeCases, OpenMpThreadCountDoesNotLeak) {
+  const auto a = tiny();
+  const int before = omp_get_max_threads();
+  for (const int threads : {1, before + 1}) {
+    dsg::OpenMpOptions opt;
+    opt.num_threads = threads;
+    const auto r = dsg::delta_stepping_openmp(a, 0, opt);
+    EXPECT_DOUBLE_EQ(r.dist[2], 2.0);
+    EXPECT_EQ(omp_get_max_threads(), before) << threads << " threads";
+  }
+}
+#endif
 
 TEST(EdgeCases, OpenMpTaskGranularityVariants) {
   auto g = dsg::generate_grid2d(20, 20);
